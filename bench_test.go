@@ -136,7 +136,7 @@ func BenchmarkPipelinedReadWall(b *testing.B) {
 	workers := runtime.GOMAXPROCS(0)
 	var wall float64
 	for i := 0; i < b.N; i++ {
-		wall = bench.WallPipelinedRead(true, workers)
+		wall = bench.WallPipelinedRead(workers)
 	}
 	b.ReportMetric(wall, "GB/s-wall")
 	b.ReportMetric(float64(workers), "workers")

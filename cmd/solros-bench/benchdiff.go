@@ -92,9 +92,8 @@ func runBenchHotpath(args []string) {
 	parallel := fs.Int("parallel", 0, "wall-clock backend: run N machines on real goroutines and record aggregate wall GB/s (0 = skip)")
 	fs.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: solros-bench benchhotpath [-o BENCH_hotpath.json] [-parallel N]")
-		fmt.Fprintln(os.Stderr, "\nMeasures the pipelined delegated read's heap traffic with the")
-		fmt.Fprintln(os.Stderr, "zero-alloc pools off and on (virtual-time throughput, allocs/op,")
-		fmt.Fprintln(os.Stderr, "B/op, and the headline allocs/op reduction).")
+		fmt.Fprintln(os.Stderr, "\nMeasures the pipelined delegated read's virtual-time throughput")
+		fmt.Fprintln(os.Stderr, "and heap traffic (allocs/op, B/op).")
 		fs.PrintDefaults()
 	}
 	_ = fs.Parse(args)

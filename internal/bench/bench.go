@@ -100,7 +100,7 @@ var Experiments = []struct {
 	{"fig19", "control-plane OS scalability", Fig19},
 	{"ablate", "ablations of Solros design decisions", Ablations},
 	{"pipeline", "pipelined delegated I/O: sync vs windowed/batched/overlapped reads", Pipeline},
-	{"hotpath", "zero-alloc delegated hot path: heap traffic with pooling off vs on", HotPath},
+	{"hotpath", "zero-alloc delegated hot path: heap traffic per cache-hit read", allocSweep},
 	{"chaos", "fault injection: recovery correctness and determinism per fault class", Chaos},
 	{"traceov", "overhead of end-to-end causal tracing on the pipelined read", TraceOverhead},
 	{"serve", "KV store under open-loop Zipfian YCSB load: tput and tail latency vs offered rate", Serve},

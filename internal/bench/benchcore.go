@@ -55,11 +55,11 @@ func CoreBenchmarks() CoreBench {
 		overhead = (offGBs - onGBs) / offGBs * 100
 	}
 
-	// Heap-traffic gate for the zero-alloc hot path (ISSUE 7): allocs/op
-	// and B/op of the steady-state pipelined read with HotPath armed.
-	// Committed in BENCH_core.json so benchdiff fails loudly when pooling
-	// regresses, not just when virtual time does.
-	_, allocs, bytes := hotPipe(true)
+	// Heap-traffic gate for the zero-alloc hot path: allocs/op and B/op
+	// of the steady-state pipelined read. Committed in BENCH_core.json so
+	// benchdiff fails loudly when pooling regresses, not just when
+	// virtual time does.
+	w := hotPipe()
 
 	return CoreBench{
 		Schema: CoreSchema,
@@ -68,8 +68,8 @@ func CoreBenchmarks() CoreBench {
 			{Name: "pipelined_read_2mb", Value: pipe, Unit: "GB/s", HigherIsBetter: true},
 			{Name: "chaos_nvme_errors_rw", Value: chaos, Unit: "GB/s", HigherIsBetter: true},
 			{Name: "trace_overhead_512kb", Value: overhead, Unit: "%", HigherIsBetter: false},
-			{Name: "pipelined_read_allocs", Value: allocs, Unit: "allocs/read", HigherIsBetter: false},
-			{Name: "pipelined_read_bytes", Value: bytes, Unit: "B/read", HigherIsBetter: false},
+			{Name: "pipelined_read_allocs", Value: w.allocsPerRead(), Unit: "allocs/read", HigherIsBetter: false},
+			{Name: "pipelined_read_bytes", Value: w.bytesPerRead(), Unit: "B/read", HigherIsBetter: false},
 		},
 	}
 }

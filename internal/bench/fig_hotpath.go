@@ -10,12 +10,11 @@ import (
 	"solros/internal/sim"
 )
 
-// Zero-alloc hot-path experiment (ISSUE 7): heap traffic on the delegated
-// read path with the pooling machinery off vs on. The knob is heap-only,
-// so virtual-time throughput must be identical in both columns — what
-// moves is allocs and bytes allocated per delegated read, measured with
-// runtime.MemStats around a steady-state (cache-resident) read loop while
-// every proc of the machine runs interleaved inside the window.
+// Zero-alloc hot-path experiment: heap traffic on the delegated read path,
+// measured with runtime.MemStats around a steady-state (cache-resident)
+// read loop while every proc of the machine runs interleaved inside the
+// window. The pooled RPC path is the machine's only path, so what the
+// sweep reports is the default configuration's heap cost per read.
 
 var hotSizes = []int64{4 << 10, 64 << 10, 1 << 20, 4 << 20}
 
@@ -23,48 +22,73 @@ var hotSizes = []int64{4 << 10, 64 << 10, 1 << 20, 4 << 20}
 // read is a pure RPC + cache-hit push: exactly the path the pools target.
 const hotFileBytes = 4 << 20
 
-// HotPath measures the sweep for EXPERIMENTS.md: throughput (must match
-// off/on), allocations per read, and bytes allocated per read.
-func HotPath() []Row {
-	type cell struct{ tput, allocs, bytes float64 }
-	cells := map[bool]map[int64]cell{false: {}, true: {}}
-	for _, hot := range []bool{false, true} {
-		for _, bs := range hotSizes {
-			t, a, by := hotPoint(hot, bs)
-			cells[hot][bs] = cell{t, a, by}
-		}
-	}
+// allocSweep measures the sweep for EXPERIMENTS.md: virtual-time
+// throughput, allocations per read, and bytes allocated per read.
+func allocSweep() []Row {
 	var rows []Row
-	for _, s := range []struct {
-		name string
-		hot  bool
-		get  func(cell) float64
-		unit string
-	}{
-		{"tput/pool-off", false, func(c cell) float64 { return c.tput }, "GB/s"},
-		{"tput/pool-on", true, func(c cell) float64 { return c.tput }, "GB/s"},
-		{"allocs/pool-off", false, func(c cell) float64 { return c.allocs }, "allocs/read"},
-		{"allocs/pool-on", true, func(c cell) float64 { return c.allocs }, "allocs/read"},
-		{"bytes/pool-off", false, func(c cell) float64 { return c.bytes }, "B/read"},
-		{"bytes/pool-on", true, func(c cell) float64 { return c.bytes }, "B/read"},
-	} {
-		for _, bs := range hotSizes {
-			rows = append(rows, row("hotpath", s.name, sizeLabel(bs), s.get(cells[s.hot][bs]), s.unit))
-		}
+	ws := make([]allocWindow, len(hotSizes))
+	for i, bs := range hotSizes {
+		ws[i] = hotPoint(bs)
+	}
+	for i, bs := range hotSizes {
+		rows = append(rows, row("hotpath", "tput", sizeLabel(bs), ws[i].gbs, "GB/s"))
+	}
+	for i, bs := range hotSizes {
+		rows = append(rows, row("hotpath", "allocs", sizeLabel(bs), ws[i].allocsPerRead(), "allocs/read"))
+	}
+	for i, bs := range hotSizes {
+		rows = append(rows, row("hotpath", "bytes", sizeLabel(bs), ws[i].bytesPerRead(), "B/read"))
 	}
 	return rows
 }
 
+// allocWindow is one measured steady-state read loop: how many reads it
+// made, their virtual-time throughput, and the heap traffic of the whole
+// machine meanwhile. The MemStats deltas stay integers so that gates can
+// compare them against an absolute slack — a stray background malloc is
+// one count, while a real per-read allocation costs at least reads.
+type allocWindow struct {
+	reads          int64
+	gbs            float64
+	mallocs, bytes uint64
+}
+
+func (w allocWindow) allocsPerRead() float64 { return float64(w.mallocs) / float64(w.reads) }
+func (w allocWindow) bytesPerRead() float64  { return float64(w.bytes) / float64(w.reads) }
+
 // hotPoint runs one sweep cell: steady-state bs-sized delegated reads of a
-// cache-resident file, reporting virtual-time throughput and per-read heap
-// traffic.
-func hotPoint(hot bool, bs int64) (tput, allocsOp, bytesOp float64) {
-	m := core.NewMachine(core.Config{
+// cache-resident file.
+func hotPoint(bs int64) allocWindow {
+	return readWindow(core.Config{
 		DiskBytes:    16 << 20,
 		PhiMemBytes:  bs + (64 << 20),
 		ProxyWorkers: 8,
-		HotPath:      hot,
-	})
+	}, hotFileBytes, bs, 5, 16)
+}
+
+// hotPipe measures the pipelined-read benchmark's heap traffic: warm
+// (cache-resident) 2 MB delegated reads split into windowed chunk RPCs
+// with batched ring drains — the configuration BenchmarkPipelinedRead
+// exercises, steady-state so the per-RPC churn dominates.
+func hotPipe() allocWindow {
+	const bs = 2 << 20
+	return readWindow(core.Config{
+		DiskBytes:    pipeDiskBytes,
+		CacheBytes:   pipeFileBytes + (8 << 20), // whole file stays resident
+		PhiMemBytes:  bs + (64 << 20),
+		ProxyWorkers: 8,
+		Pipeline:     true,
+		BatchRecv:    true,
+		Overlap:      true,
+	}, pipeFileBytes, bs, 3, 8)
+}
+
+// readWindow reads a fileBytes-long buffered file in bs-sized delegated
+// reads: warm passes first (the cold one fills the cache, the rest warm
+// every pool and lazily-grown map), then passes measured ones.
+func readWindow(cfg core.Config, fileBytes, bs int64, warm, passes int) allocWindow {
+	var w allocWindow
+	m := core.NewMachine(cfg)
 	m.MustRun(func(p *sim.Proc, mm *core.Machine) {
 		phi := mm.Phis[0]
 		fd, err := phi.FS.Open(p, "/hot", ninep.OCreate|ninep.OBuffer)
@@ -75,24 +99,20 @@ func hotPoint(hot bool, bs int64) (tput, allocsOp, bytesOp float64) {
 		if err != nil {
 			panic(err)
 		}
-		if err := f.Truncate(p, hotFileBytes); err != nil {
+		if err := f.Truncate(p, fileBytes); err != nil {
 			panic(err)
 		}
 		buf := phi.FS.AllocBuffer(bs)
 		readAll := func() {
-			for off := int64(0); off+bs <= hotFileBytes; off += bs {
+			for off := int64(0); off+bs <= fileBytes; off += bs {
 				if _, err := phi.FS.Read(p, fd, off, buf, bs); err != nil {
 					panic(err)
 				}
 			}
 		}
-		// One cold pass fills the cache, a few more warm every pool and
-		// lazily-grown map before the measured window opens.
-		for i := 0; i < 5; i++ {
+		for i := 0; i < warm; i++ {
 			readAll()
 		}
-		const passes = 16
-		reads := passes * (hotFileBytes / bs)
 		var before, after runtime.MemStats
 		start := p.Now()
 		runtime.ReadMemStats(&before)
@@ -100,69 +120,14 @@ func hotPoint(hot bool, bs int64) (tput, allocsOp, bytesOp float64) {
 			readAll()
 		}
 		runtime.ReadMemStats(&after)
-		secs := (p.Now() - start).Seconds()
-		allocsOp = float64(after.Mallocs-before.Mallocs) / float64(reads)
-		bytesOp = float64(after.TotalAlloc-before.TotalAlloc) / float64(reads)
-		tput = gbs(passes*hotFileBytes, secs)
+		w = allocWindow{
+			reads:   int64(passes) * (fileBytes / bs),
+			gbs:     gbs(int64(passes)*fileBytes, (p.Now() - start).Seconds()),
+			mallocs: after.Mallocs - before.Mallocs,
+			bytes:   after.TotalAlloc - before.TotalAlloc,
+		}
 	})
-	return tput, allocsOp, bytesOp
-}
-
-// hotPipe measures the pipelined-read benchmark's heap traffic: warm
-// (cache-resident) 2 MB delegated reads split into windowed chunk RPCs
-// with batched ring drains — the configuration BenchmarkPipelinedRead
-// exercises, steady-state so the per-RPC churn dominates.
-func hotPipe(hot bool) (tput, allocsOp, bytesOp float64) {
-	const bs = 2 << 20
-	m := core.NewMachine(core.Config{
-		DiskBytes:    pipeDiskBytes,
-		CacheBytes:   pipeFileBytes + (8 << 20), // whole file stays resident
-		PhiMemBytes:  bs + (64 << 20),
-		ProxyWorkers: 8,
-		Pipeline:     true,
-		BatchRecv:    true,
-		Overlap:      true,
-		HotPath:      hot,
-	})
-	m.MustRun(func(p *sim.Proc, mm *core.Machine) {
-		phi := mm.Phis[0]
-		fd, err := phi.FS.Open(p, "/pipe", ninep.OCreate|ninep.OBuffer)
-		if err != nil {
-			panic(err)
-		}
-		f, err := mm.FS.Open(p, "/pipe")
-		if err != nil {
-			panic(err)
-		}
-		if err := f.Truncate(p, pipeFileBytes); err != nil {
-			panic(err)
-		}
-		buf := phi.FS.AllocBuffer(bs)
-		readAll := func() {
-			for off := int64(0); off+bs <= pipeFileBytes; off += bs {
-				if _, err := phi.FS.Read(p, fd, off, buf, bs); err != nil {
-					panic(err)
-				}
-			}
-		}
-		for i := 0; i < 3; i++ {
-			readAll()
-		}
-		const passes = 8
-		reads := passes * (pipeFileBytes / bs)
-		var before, after runtime.MemStats
-		start := p.Now()
-		runtime.ReadMemStats(&before)
-		for i := 0; i < passes; i++ {
-			readAll()
-		}
-		runtime.ReadMemStats(&after)
-		secs := (p.Now() - start).Seconds()
-		allocsOp = float64(after.Mallocs-before.Mallocs) / float64(reads)
-		bytesOp = float64(after.TotalAlloc-before.TotalAlloc) / float64(reads)
-		tput = gbs(passes*pipeFileBytes, secs)
-	})
-	return tput, allocsOp, bytesOp
+	return w
 }
 
 // WallPipelinedRead is the wall-clock parallel backend (ROADMAP item 2):
@@ -173,7 +138,7 @@ func hotPipe(hot bool) (tput, allocsOp, bytesOp float64) {
 // deterministic and single-threaded internally); only the harness goes
 // parallel. Non-deterministic by construction, so it is recorded as its
 // own BENCH series and never gated by benchdiff.
-func WallPipelinedRead(hot bool, workers int) float64 {
+func WallPipelinedRead(workers int) float64 {
 	const bs = 2 << 20
 	if workers < 1 {
 		workers = 1
@@ -191,7 +156,6 @@ func WallPipelinedRead(hot bool, workers int) float64 {
 				Pipeline:     true,
 				BatchRecv:    true,
 				Overlap:      true,
-				HotPath:      hot,
 			})
 			m.MustRun(func(p *sim.Proc, mm *core.Machine) {
 				phi := mm.Phis[0]
@@ -223,30 +187,18 @@ func WallPipelinedRead(hot bool, workers int) float64 {
 const HotpathSchema = "solros-bench-hotpath/v1"
 
 // HotpathBenchmarks runs the hot-path benchmark points for
-// BENCH_hotpath.json: pipelined-read throughput and heap traffic with the
-// pools off and on, the headline allocs/op reduction, and (when parallel
-// > 0) the wall-clock parallel series.
+// BENCH_hotpath.json: pipelined-read throughput and heap traffic, and
+// (when parallel > 0) the wall-clock parallel series.
 func HotpathBenchmarks(parallel int) CoreBench {
-	offT, offA, offB := hotPipe(false)
-	onT, onA, onB := hotPipe(true)
-	reduction := 0.0
-	if offA > 0 {
-		reduction = (offA - onA) / offA * 100
-	}
+	w := hotPipe()
 	points := []CorePoint{
-		{Name: "pipelined_read_2mb_gbs_pool_off", Value: offT, Unit: "GB/s", HigherIsBetter: true},
-		{Name: "pipelined_read_2mb_gbs_pool_on", Value: onT, Unit: "GB/s", HigherIsBetter: true},
-		{Name: "pipelined_read_2mb_allocs_pool_off", Value: offA, Unit: "allocs/read", HigherIsBetter: false},
-		{Name: "pipelined_read_2mb_allocs_pool_on", Value: onA, Unit: "allocs/read", HigherIsBetter: false},
-		{Name: "pipelined_read_2mb_bytes_pool_off", Value: offB, Unit: "B/read", HigherIsBetter: false},
-		{Name: "pipelined_read_2mb_bytes_pool_on", Value: onB, Unit: "B/read", HigherIsBetter: false},
-		{Name: "pipelined_read_allocs_reduction", Value: reduction, Unit: "%", HigherIsBetter: true},
+		{Name: "pipelined_read_2mb_gbs", Value: w.gbs, Unit: "GB/s", HigherIsBetter: true},
+		{Name: "pipelined_read_2mb_allocs", Value: w.allocsPerRead(), Unit: "allocs/read", HigherIsBetter: false},
+		{Name: "pipelined_read_2mb_bytes", Value: w.bytesPerRead(), Unit: "B/read", HigherIsBetter: false},
 	}
 	if parallel > 0 {
 		points = append(points,
-			CorePoint{Name: "wall_pipelined_read_2mb_pool_off", Value: WallPipelinedRead(false, parallel), Unit: "GB/s-wall", HigherIsBetter: true},
-			CorePoint{Name: "wall_pipelined_read_2mb_pool_on", Value: WallPipelinedRead(true, parallel), Unit: "GB/s-wall", HigherIsBetter: true},
-		)
+			CorePoint{Name: "wall_pipelined_read_2mb", Value: WallPipelinedRead(parallel), Unit: "GB/s-wall", HigherIsBetter: true})
 	}
 	return CoreBench{Schema: HotpathSchema, Points: points}
 }

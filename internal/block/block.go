@@ -42,9 +42,18 @@ func (n NVMe) Capacity() int64 { return n.Dev.Capacity() }
 // Image exposes the flash image.
 func (n NVMe) Image() *pcie.Memory { return n.Dev.Image() }
 
+// vectorStack is how many commands Vector converts in stack storage; a
+// longer vector (a file fragmented across more extents) grows onto the
+// heap.
+const vectorStack = 8
+
 // Vector converts ops to NVMe commands and submits them as one IO vector.
+// The commands live on the calling proc's own stack, so they stay valid
+// while Submit parks the proc, no two in-flight vectors share storage,
+// and a short vector costs no heap allocation.
 func (n NVMe) Vector(p *sim.Proc, ops []Op, coalesce bool) error {
-	cmds := make([]nvme.Command, 0, len(ops))
+	var stack [vectorStack]nvme.Command
+	cmds := stack[:0]
 	for _, o := range ops {
 		if o.Off%nvme.SectorSize != 0 {
 			return fmt.Errorf("block: unaligned offset %d", o.Off)

@@ -64,14 +64,6 @@ type FSProxy struct {
 	// combiner and PCIe costs when requests arrive back to back
 	// (pipelined chunk windows). Default off.
 	BatchRecv bool
-	// CoalesceDoorbell batches the replies of one drained request batch
-	// into a single SendBatch enqueue: k replies share one combiner
-	// pass, one lazy control flush, and one receiver doorbell instead of
-	// paying each per reply — the reply-side extension of the combining
-	// discipline. Only effective together with BatchRecv. Default off
-	// (behavior-visible: the first replies of a batch are held until the
-	// whole batch is handled).
-	CoalesceDoorbell bool
 	// Overlap double-buffers buffered reads: missing pages are filled
 	// from the flash by parallel worker procs while already-filled pages
 	// stream to the co-processor, so the NVMe leg of chunk k+1 proceeds
@@ -94,9 +86,7 @@ type FSProxy struct {
 	// executor pools, the serialized slice of each request queues on the
 	// owning shard's lock, and pending-fill state shards by page hash.
 	// Zero (the default) keeps the legacy per-channel serve loops with
-	// global tables and unchanged virtual-time charges. Sharded serving
-	// always replies per request (CoalesceDoorbell is a per-channel batch
-	// discipline and is ignored).
+	// global tables and unchanged virtual-time charges.
 	Shards int
 	// ShardFids gives each shard a private fid table. With Shards set but
 	// ShardFids off, fid-touching requests additionally serialize on one
@@ -250,7 +240,7 @@ const serveRecvBatch = 8
 
 func (px *FSProxy) serve(p *sim.Proc, ch *channel) {
 	// Per-worker reusable storage: the decoded request, the response
-	// under construction, and the encode scratches all live for the
+	// under construction, and the encode scratch all live for the
 	// worker's lifetime, so a steady-state request allocates nothing in
 	// the serve loop itself. Safe to share across yields because each
 	// worker proc owns its own set.
@@ -258,7 +248,6 @@ func (px *FSProxy) serve(p *sim.Proc, ch *channel) {
 	scratch := make([][]byte, 0, serveRecvBatch)
 	var m, out ninep.Msg
 	var enc []byte
-	var encs, encBufs [][]byte
 	for {
 		var raws [][]byte
 		if px.BatchRecv {
@@ -276,9 +265,7 @@ func (px *FSProxy) serve(p *sim.Proc, ch *channel) {
 			single[0] = raw
 			raws = single
 		}
-		coalesce := px.CoalesceDoorbell && len(raws) > 1
-		encs = encs[:0]
-		for i, raw := range raws {
+		for _, raw := range raws {
 			if err := ninep.DecodeInto(&m, raw); err != nil {
 				panic("fsproxy: corrupt request: " + err.Error())
 			}
@@ -299,26 +286,10 @@ func (px *FSProxy) serve(p *sim.Proc, ch *channel) {
 			px.handle(p, ch, &m, &out)
 			out.Tag = m.Tag
 			out.Trace, out.Span = m.Trace, m.Span
-			if coalesce {
-				// Stash the encoded reply (reusing this slot's backing
-				// from earlier batches) for one coalesced enqueue below.
-				for len(encBufs) <= i {
-					encBufs = append(encBufs, nil)
-				}
-				encBufs[i] = out.AppendTo(encBufs[i][:0])
-				encs = append(encs, encBufs[i])
-			} else {
-				enc = out.AppendTo(enc[:0])
-				ch.resp.Send(p, enc)
-			}
+			enc = out.AppendTo(enc[:0])
+			ch.resp.Send(p, enc)
 			px.telInflight.Depart(p)
 			sp.End(p)
-		}
-		if coalesce && len(encs) > 0 {
-			// One combining pass, one lazy flush, one doorbell for the
-			// whole batch of replies (§4.2's combining argument applied
-			// to the reply side).
-			ch.resp.SendBatch(p, encs)
 		}
 	}
 }

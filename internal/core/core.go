@@ -77,19 +77,6 @@ type Config struct {
 	// proxy's serve loops and the data-plane dispatchers use RecvBatch
 	// instead of Recv (default off).
 	BatchRecv bool
-	// HotPath arms the zero-alloc delegated RPC path on every data-plane
-	// connection: pooled call records, pooled receive buffers with
-	// recycling, and tag-peek routing that skips decoding stale replies.
-	// Purely heap-side — virtual time and every figure are unchanged —
-	// but responses returned by Call/Wait are only valid until the
-	// connection's next CallAsync (default off).
-	HotPath bool
-	// CoalesceDoorbell lets a proxy serve worker publish the replies of
-	// one drained request batch through a single combiner pass — one
-	// lazy-control flush / doorbell pair for k replies instead of k. Only
-	// effective with BatchRecv; behavior-visible (reply timing shifts
-	// earlier), so figures require it off (default off).
-	CoalesceDoorbell bool
 	// Overlap double-buffers the proxy's buffered reads so NVMe fills
 	// proceed under PCIe streaming (default off).
 	Overlap bool
@@ -471,7 +458,6 @@ func NewMachine(cfg Config) *Machine {
 		conn, reqPort, respPort := dataplane.NewConn(fab, dev, cfg.RingOptions)
 		conn.Tracing = cfg.Tracing
 		conn.BatchRecv = cfg.BatchRecv
-		conn.HotPath = cfg.HotPath
 		conn.Deadline = cfg.RPCDeadline
 		conn.Retries = cfg.RPCRetries
 		conn.Reconnect = m.inj != nil
@@ -535,7 +521,6 @@ func (m *Machine) boot(p *sim.Proc) {
 	m.FSProxy.ForceP2P = m.cfg.ForceP2P
 	m.FSProxy.DisableCache = m.cfg.DisableCache
 	m.FSProxy.BatchRecv = m.cfg.BatchRecv
-	m.FSProxy.CoalesceDoorbell = m.cfg.CoalesceDoorbell
 	m.FSProxy.Overlap = m.cfg.Overlap
 	m.FSProxy.Shards = m.cfg.ProxyShards
 	m.FSProxy.ShardFids = m.cfg.ShardFids

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"runtime"
 	"testing"
 
@@ -9,16 +10,24 @@ import (
 	"solros/internal/sim"
 )
 
+// allocSlack is how many mallocs a measured window may contain without any
+// per-RPC allocation: runtime.MemStats is process-wide, and the runtime
+// allocates now and then (a new OS thread costs a handful). allocWindows
+// is how many windows the gate may measure, keeping the smallest count: a
+// stray burst rarely lands twice, a per-RPC allocation lands in every one.
+const allocSlack, allocWindows = 8, 3
+
 // TestDelegatedReadAllocBudget is the committed end-to-end regression gate
-// for ISSUE 7: with Config.HotPath armed, a steady-state delegated read
-// RPC — stub encode, request ring, proxy decode/handle (cache hit),
-// reply ring, stub dispatch and wait — must cost at most 2 heap
-// allocations, measured across the whole process with runtime.MemStats
-// inside one sim run (every proc of the machine runs interleaved in this
-// window, so the count covers the full round trip, not just the caller).
+// for the default machine: a steady-state delegated read RPC — stub
+// encode, request ring, proxy decode/handle (cache hit), reply ring, stub
+// dispatch and wait — must cost at most 2 heap allocations, measured
+// across the whole process with runtime.MemStats inside one sim run (every
+// proc of the machine runs interleaved in this window, so the count covers
+// the full round trip, not just the caller).
 func TestDelegatedReadAllocBudget(t *testing.T) {
-	m := NewMachine(Config{Phis: 1, HotPath: true})
-	var perOp float64
+	m := NewMachine(Config{Phis: 1})
+	const iters = 500
+	mallocs := uint64(math.MaxUint64)
 	m.MustRun(func(p *sim.Proc, m *Machine) {
 		c := m.Phis[0].FS
 		fd, err := c.Open(p, "/hot", ninep.OCreate|ninep.OBuffer)
@@ -42,32 +51,35 @@ func TestDelegatedReadAllocBudget(t *testing.T) {
 				return
 			}
 		}
-		const iters = 500
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < iters; i++ {
-			c.Read(p, fd, 0, rbuf, 8192)
+		for w := 0; w < allocWindows && mallocs > 2*iters+allocSlack; w++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < iters; i++ {
+				c.Read(p, fd, 0, rbuf, 8192)
+			}
+			runtime.ReadMemStats(&after)
+			mallocs = min(mallocs, after.Mallocs-before.Mallocs)
 		}
-		runtime.ReadMemStats(&after)
-		perOp = float64(after.Mallocs-before.Mallocs) / iters
 		if !bytes.Equal(rbuf.Data[:8192], payload) {
 			t.Error("payload corrupted on the hot path")
 		}
 		c.Close(p, fd)
 	})
-	if perOp > 2 {
-		t.Fatalf("delegated read round-trip: %.3f allocs/RPC, budget is 2", perOp)
+	if mallocs > 2*iters+allocSlack {
+		t.Fatalf("delegated read round-trip: %d mallocs in the best of %d windows of %d RPCs, budget is 2 per RPC (+%d slack)",
+			mallocs, allocWindows, iters, allocSlack)
 	}
-	t.Logf("delegated read round-trip: %.3f allocs/RPC", perOp)
+	t.Logf("delegated read round-trip: %d mallocs in %d RPCs", mallocs, iters)
 }
 
-// TestHotPathEndToEnd checks data integrity and timing neutrality: the
-// zero-alloc machinery is heap-only, so the same workload must produce
-// byte-identical results and the identical virtual-time profile with
-// HotPath on and off.
+// TestHotPathEndToEnd checks data integrity on the pooled delegated path,
+// with per-message and batched ring drains: a 1 MB round trip, then
+// concurrent readers whose responses share one connection's recycled call
+// records. Reusing records must not perturb the schedule either, so a
+// repeated run ends at the identical virtual time.
 func TestHotPathEndToEnd(t *testing.T) {
-	run := func(hot bool) sim.Time {
-		m := NewMachine(Config{Phis: 1, HotPath: hot})
+	run := func(cfg Config) sim.Time {
+		m := NewMachine(cfg)
 		m.MustRun(func(p *sim.Proc, m *Machine) {
 			c := m.Phis[0].FS
 			fd, err := c.Open(p, "/f", ninep.OCreate)
@@ -91,53 +103,28 @@ func TestHotPathEndToEnd(t *testing.T) {
 			if !bytes.Equal(rbuf.Data, buf.Data) {
 				t.Error("payload corrupted")
 			}
+			Parallel(p, 8, "reader", func(i int, wp *sim.Proc) {
+				rb := c.AllocBuffer(8 << 10)
+				for k := 0; k < 16; k++ {
+					off := int64((i*16+k)%128) * (8 << 10)
+					n, err := c.Read(wp, fd, off, rb, 8<<10)
+					if err != nil || n != 8<<10 {
+						t.Errorf("reader %d: n=%d err=%v", i, n, err)
+						return
+					}
+					if !bytes.Equal(rb.Data, buf.Data[off:off+(8<<10)]) {
+						t.Errorf("reader %d: chunk at %d corrupt", i, off)
+						return
+					}
+				}
+			})
 			c.Close(p, fd)
 		})
 		return m.Engine.Now()
 	}
-	off, on := run(false), run(true)
-	if off != on {
-		t.Fatalf("HotPath moved virtual time: off=%v on=%v", off, on)
+	for _, cfg := range []Config{{Phis: 1}, {Phis: 1, BatchRecv: true}} {
+		if first, again := run(cfg), run(cfg); first != again {
+			t.Fatalf("BatchRecv=%v: repeated run ended at %v, first at %v", cfg.BatchRecv, again, first)
+		}
 	}
-}
-
-// TestCoalesceDoorbellEndToEnd checks the coalesced-reply path end to end
-// under concurrency: many readers over a batch-draining proxy with
-// CoalesceDoorbell set still get correct data.
-func TestCoalesceDoorbellEndToEnd(t *testing.T) {
-	m := NewMachine(Config{Phis: 1, BatchRecv: true, CoalesceDoorbell: true, HotPath: true})
-	m.MustRun(func(p *sim.Proc, m *Machine) {
-		c := m.Phis[0].FS
-		fd, err := c.Open(p, "/shared", ninep.OCreate)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		buf := c.AllocBuffer(64 << 10)
-		for i := range buf.Data {
-			buf.Data[i] = byte(i)
-		}
-		if _, err := c.Write(p, fd, 0, buf, 64<<10); err != nil {
-			t.Error(err)
-			return
-		}
-		Parallel(p, 8, "reader", func(i int, wp *sim.Proc) {
-			rbuf := c.AllocBuffer(8 << 10)
-			for k := 0; k < 16; k++ {
-				off := int64((i*16 + k) % 8 * (8 << 10))
-				n, err := c.Read(wp, fd, off, rbuf, 8<<10)
-				if err != nil || n != 8<<10 {
-					t.Errorf("reader %d: n=%d err=%v", i, n, err)
-					return
-				}
-				for j := 0; j < 8<<10; j++ {
-					if rbuf.Data[j] != byte(off+int64(j)) {
-						t.Errorf("reader %d: byte %d corrupt", i, j)
-						return
-					}
-				}
-			}
-		})
-		c.Close(p, fd)
-	})
 }

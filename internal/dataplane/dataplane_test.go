@@ -59,6 +59,40 @@ func TestCallRoundTripAndTagMatching(t *testing.T) {
 	e.MustRun()
 }
 
+// TestResponseValidUntilNextCallAsync pins the connection's buffer-ownership
+// contract: a response is valid until the connection's next CallAsync,
+// which reuses the call record holding it. A response held past that point
+// reads as a Reset message, never as some other call's reply.
+func TestResponseValidUntilNextCallAsync(t *testing.T) {
+	fab := pcie.New(64 << 20)
+	phi := fab.AddPhi("phi0", 0, 16<<20)
+	conn, reqPort, respPort := NewConn(fab, phi, transport.Options{CapBytes: 1 << 20})
+	e := sim.NewEngine()
+	e.Spawn("main", 0, func(p *sim.Proc) {
+		conn.Start(p)
+		echoProxy(p, reqPort, respPort)
+		held, err := conn.Call(p, &ninep.Msg{Type: ninep.Topen, Fid: 7})
+		if err != nil || held.Type != ninep.Ropen || held.Size != 7 {
+			t.Errorf("first call: resp %+v err %v", held, err)
+			return
+		}
+		pd := conn.CallAsync(p, &ninep.Msg{Type: ninep.Topen, Fid: 8})
+		if held.Type != 0 || held.Tag != 0 || held.Size != 0 || len(held.Data) != 0 {
+			t.Errorf("held response after the next CallAsync = %+v, want a Reset message", *held)
+		}
+		next, err := conn.Wait(p, pd)
+		if err != nil || next.Size != 8 {
+			t.Errorf("next call: resp %+v err %v", next, err)
+			return
+		}
+		if next != held {
+			t.Error("the next call did not reuse the released record")
+		}
+		conn.Close(p)
+	})
+	e.MustRun()
+}
+
 func TestCallAfterCloseFails(t *testing.T) {
 	fab := pcie.New(64 << 20)
 	phi := fab.AddPhi("phi0", 0, 16<<20)

@@ -71,22 +71,12 @@ type Conn struct {
 	// virtual-time charges, so the reproduced figures need it off.
 	Tracing bool
 
-	// HotPath arms the zero-alloc delegated fast path: call records are
-	// pooled and reused (encode scratch, response storage, wait cond and
-	// Pending handle all live in the record), the dispatcher routes raw
-	// bytes by PeekTag and decodes straight into the owning record, and
-	// receive buffers recycle through the response port's pool. The cost
-	// is a lifetime contract: the *ninep.Msg returned by Wait/Call is
-	// valid only until the connection's next CallAsync — callers must
-	// consume the response before issuing the next request. Off by
-	// default (every response is then a private allocation, the seed
-	// behavior). Purely heap-visible: virtual time is identical either
-	// way. Set before Start.
-	HotPath bool
-
-	// freeCalls is the call-record free list used when HotPath is set; a
-	// record returns here at Wait time and its storage is reused by a
-	// later CallAsync.
+	// freeCalls is the call-record free list: a record returns here at
+	// Wait time and its storage (encode scratch, response, wait cond,
+	// Pending handle) is reused by a later CallAsync. That reuse is the
+	// connection's buffer-ownership contract: the *ninep.Msg returned by
+	// Wait/Call is valid only until the connection's next CallAsync, so
+	// callers consume a response before issuing the next request.
 	freeCalls []*call
 
 	nextTag uint16
@@ -135,9 +125,9 @@ type call struct {
 	// (including duplicates); their difference at reap time is how many
 	// late responses the stale table must absorb.
 	sent, got int
-	// msg is the decoded-response storage on the hot path: the
-	// dispatcher DecodeIntos it and resp points at it, so a pooled
-	// record amortizes its payload backing across calls.
+	// msg is the decoded-response storage: the dispatcher DecodeIntos it
+	// and resp points at it, so a pooled record amortizes its payload
+	// backing across calls.
 	msg ninep.Msg
 	// pend is the call's Pending handle, embedded so CallAsync returns
 	// it without a per-call allocation.
@@ -239,17 +229,14 @@ func (c *Conn) Start(p *sim.Proc) {
 		return
 	}
 	c.started = true
-	if c.HotPath {
-		c.resp.EnablePool()
-	}
 	c.spawnDispatcher(p)
 }
 
-// allocCall checks a call record out of the free list (HotPath) or
-// allocates a fresh one. Reused records keep their cond, their encode
-// scratch, and their response payload backing.
+// allocCall checks a call record out of the free list, or allocates a
+// fresh one when it is empty. Reused records keep their cond, their
+// encode scratch, and their response payload backing.
 func (c *Conn) allocCall() *call {
-	if n := len(c.freeCalls); c.HotPath && n > 0 {
+	if n := len(c.freeCalls); n > 0 {
 		pc := c.freeCalls[n-1]
 		c.freeCalls[n-1] = nil
 		c.freeCalls = c.freeCalls[:n-1]
@@ -262,20 +249,19 @@ func (c *Conn) allocCall() *call {
 }
 
 // releaseCall returns a retired record to the free list. Only called
-// after retire (the tag no longer maps to the record) and only on the hot
-// path, where the Wait lifetime contract makes reuse safe.
+// after retire (the tag no longer maps to the record), where the Wait
+// lifetime contract makes reuse safe.
 func (c *Conn) releaseCall(pc *call) {
-	if !c.HotPath {
-		return
-	}
 	c.freeCalls = append(c.freeCalls, pc)
 }
 
-// spawnDispatcher starts a dispatcher bound to the current response ring.
-// A dispatcher outlived by a Reset (its ring replaced under it) exits
-// without touching the connection's state.
+// spawnDispatcher starts a dispatcher bound to the current response ring,
+// whose receive buffers it recycles through the port's pool. A dispatcher
+// outlived by a Reset (its ring replaced under it) exits without touching
+// the connection's state.
 func (c *Conn) spawnDispatcher(p *sim.Proc) {
 	resp := c.resp
+	resp.EnablePool()
 	p.Spawn(c.Phi.Name+"-dispatcher", func(dp *sim.Proc) {
 		defer func() {
 			if resp != c.resp {
@@ -335,20 +321,12 @@ func (c *Conn) spawnDispatcher(p *sim.Proc) {
 					resp.Recycle(raw)
 					continue
 				}
-				if c.HotPath {
-					if err := ninep.DecodeInto(&pc.msg, raw); err != nil {
-						panic("dataplane: corrupt response: " + err.Error())
-					}
-					pc.resp = &pc.msg
-				} else {
-					m, err := ninep.Decode(raw)
-					if err != nil {
-						panic("dataplane: corrupt response: " + err.Error())
-					}
-					pc.resp = m
+				if err := ninep.DecodeInto(&pc.msg, raw); err != nil {
+					panic("dataplane: corrupt response: " + err.Error())
 				}
-				// DecodeInto/Decode copied the payload, so the receive
-				// buffer can go back to the port's pool right away.
+				pc.resp = &pc.msg
+				// DecodeInto copied the payload, so the receive buffer can
+				// go back to the port's pool right away.
 				resp.Recycle(raw)
 				if pc.resp.Trace != 0 {
 					// Zero-length completion marker on the dispatcher
@@ -448,7 +426,8 @@ func (c *Conn) CallAsync(p *sim.Proc, m *ninep.Msg) *Pending {
 // silent window triggers a same-tag resend with exponentially growing
 // timeouts; Retries exhausted fails the call and retires its tag to the
 // stale table. A connection whose dispatcher has exited (Close, crash)
-// fails the wait immediately instead of parking forever.
+// fails the wait immediately instead of parking forever. The response is
+// valid until the connection's next CallAsync.
 func (c *Conn) Wait(p *sim.Proc, pd *Pending) (*ninep.Msg, error) {
 	var wait *telemetry.Span
 	if pd.ctx.Traced() {
@@ -516,9 +495,9 @@ func (c *Conn) Wait(p *sim.Proc, pd *Pending) (*ninep.Msg, error) {
 			c.tel.Histogram("dataplane.rpc."+pd.typ.String()+"."+c.Phi.Name).ObserveAt(p, p.Now()-pd.begin)
 		}
 	}
-	// The record goes back to the free list here; on the hot path the
-	// returned response (stored in the record) stays valid until the
-	// connection's next CallAsync reuses it.
+	// The record goes back to the free list here; the returned response
+	// (stored in the record) stays valid until the connection's next
+	// CallAsync reuses it.
 	c.releaseCall(pc)
 	if err := pc.resp.Error(); err != nil {
 		return nil, err

@@ -32,96 +32,83 @@ func allocatedBlocks(in *inode) uint32 {
 	return last.Logical + last.Count
 }
 
-// run is a contiguous file range mapped to a contiguous disk range.
-type run struct {
-	diskOff int64 // bytes
-	fileOff int64 // bytes
-	bytes   int64
-}
-
-// runsFor maps the byte range [off, off+n) to disk runs. The range must be
-// fully allocated.
-func runsFor(in *inode, off, n int64) ([]run, error) {
+// appendDiskOps is the extent walker: it appends to dst the block-device
+// operations that move [off, off+n) of in to or from target memory — host
+// RAM for buffered mode, co-processor memory for peer-to-peer — one per
+// extent the range touches. The vector is what the Solros driver
+// coalesces into one doorbell/interrupt pair. The range must be fully
+// allocated.
+func appendDiskOps(dst []block.Op, in *inode, write bool, off, n int64, target pcie.Loc) ([]block.Op, error) {
 	if off < 0 || n < 0 {
-		return nil, fmt.Errorf("solrosfs: negative range off=%d n=%d", off, n)
+		return dst, fmt.Errorf("solrosfs: negative range off=%d n=%d", off, n)
 	}
 	if n == 0 {
-		return nil, nil
+		return dst, nil
 	}
 	end := off + n
 	if uint32((end+BlockSize-1)/BlockSize) > allocatedBlocks(in) {
-		return nil, fmt.Errorf("solrosfs: range [%d,%d) beyond allocation of inode %d", off, end, in.ino)
+		return dst, fmt.Errorf("solrosfs: range [%d,%d) beyond allocation of inode %d", off, end, in.ino)
 	}
-	var out []run
+	var covered int64
 	for _, e := range in.extents {
 		eStart := int64(e.Logical) * BlockSize
 		eEnd := eStart + int64(e.Count)*BlockSize
-		lo, hi := off, end
-		if lo < eStart {
-			lo = eStart
-		}
-		if hi > eEnd {
-			hi = eEnd
-		}
+		lo, hi := max(off, eStart), min(end, eEnd)
 		if lo >= hi {
 			continue
 		}
-		out = append(out, run{
-			diskOff: int64(e.Start)*BlockSize + (lo - eStart),
-			fileOff: lo,
-			bytes:   hi - lo,
+		dst = append(dst, block.Op{
+			Write:  write,
+			Off:    int64(e.Start)*BlockSize + (lo - eStart),
+			Bytes:  hi - lo,
+			Target: pcie.Loc{Dev: target.Dev, Off: target.Off + (lo - off)},
 		})
-	}
-	var covered int64
-	for _, r := range out {
-		covered += r.bytes
+		covered += hi - lo
 	}
 	if covered != n {
-		return nil, fmt.Errorf("solrosfs: extent map hole in inode %d: covered %d of %d", in.ino, covered, n)
+		return dst, fmt.Errorf("solrosfs: extent map hole in inode %d: covered %d of %d", in.ino, covered, n)
 	}
-	return out, nil
+	return dst, nil
 }
 
 // Fiemap returns the extents covering [off, off+n), the equivalent of the
 // fiemap ioctl the Solros proxy uses for peer-to-peer translation.
 func (f *File) Fiemap(off, n int64) ([]Extent, error) {
-	runs, err := runsFor(f.in, off, n)
+	// With a zero target, each op's Target.Off is its file offset - off.
+	ops, err := appendDiskOps(nil, f.in, false, off, n, pcie.Loc{})
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Extent, 0, len(runs))
-	for _, r := range runs {
+	out := make([]Extent, 0, len(ops))
+	for _, o := range ops {
 		out = append(out, Extent{
-			Logical: uint32(r.fileOff / BlockSize),
-			Start:   uint32(r.diskOff / BlockSize),
-			Count:   uint32((r.bytes + BlockSize - 1) / BlockSize),
+			Logical: uint32((off + o.Target.Off) / BlockSize),
+			Start:   uint32(o.Off / BlockSize),
+			Count:   uint32((o.Bytes + BlockSize - 1) / BlockSize),
 		})
 	}
 	return out, nil
 }
 
-// DiskOps translates [off, off+n) into block-device operations targeting
-// the given memory location — host RAM for buffered mode, co-processor
-// memory for peer-to-peer. The returned vector is what the Solros driver
-// coalesces into one doorbell/interrupt pair.
-func (f *File) DiskOps(write bool, off, n int64, target pcie.Loc) ([]block.Op, error) {
-	runs, err := runsFor(f.in, off, n)
-	if err != nil {
-		return nil, err
+// diskIO moves [off, off+n) of in between the disk and target memory as
+// one IO vector. The vector is checked out of the FS's free list and
+// checked back in once the device returns: it stays live while the device
+// parks the proc, so every in-flight I/O holds its own and a steady state
+// allocates none.
+func (fs *FS) diskIO(p *sim.Proc, in *inode, write bool, off, n int64, target pcie.Loc, coalesce bool) error {
+	var ops []block.Op
+	if k := len(fs.opVecs); k > 0 {
+		ops = fs.opVecs[k-1]
+		fs.opVecs = fs.opVecs[:k-1]
 	}
-	ops := make([]block.Op, 0, len(runs))
-	for _, r := range runs {
-		ops = append(ops, block.Op{
-			Write: write,
-			Off:   r.diskOff,
-			Bytes: r.bytes,
-			Target: pcie.Loc{
-				Dev: target.Dev,
-				Off: target.Off + (r.fileOff - off),
-			},
-		})
+	ops, err := appendDiskOps(ops, in, write, off, n, target)
+	if err == nil {
+		err = fs.disk.Vector(p, ops, coalesce)
 	}
-	return ops, nil
+	if cap(ops) > 0 {
+		fs.opVecs = append(fs.opVecs, ops[:0])
+	}
+	return err
 }
 
 // ReadTo transfers [off, off+n) of the file directly into target memory
@@ -133,11 +120,7 @@ func (f *File) ReadTo(p *sim.Proc, off, n int64, target pcie.Loc, coalesce bool)
 	if lim := int64(allocatedBlocks(f.in)) * BlockSize; off+n > lim {
 		return fmt.Errorf("solrosfs: read [%d,%d) past allocation %d", off, off+n, lim)
 	}
-	ops, err := f.DiskOps(false, off, n, target)
-	if err != nil {
-		return err
-	}
-	return f.fs.disk.Vector(p, ops, coalesce)
+	return f.fs.diskIO(p, f.in, false, off, n, target, coalesce)
 }
 
 // WriteFrom transfers n bytes from source memory into the file at off,
@@ -146,11 +129,7 @@ func (f *File) WriteFrom(p *sim.Proc, off, n int64, source pcie.Loc, coalesce bo
 	if err := f.AllocRange(p, off, n); err != nil {
 		return err
 	}
-	ops, err := f.DiskOps(true, off, n, source)
-	if err != nil {
-		return err
-	}
-	return f.fs.disk.Vector(p, ops, coalesce)
+	return f.fs.diskIO(p, f.in, true, off, n, source, coalesce)
 }
 
 // Read copies file data into dst through host staging memory, returning
@@ -200,20 +179,12 @@ func (f *File) Write(p *sim.Proc, off int64, src []byte) (int, error) {
 	defer put()
 	stg := f.fs.staging.bytes(buf, span)
 	if aOff < off || off+n < aEnd {
-		ops, err := f.DiskOps(false, aOff, span, buf)
-		if err != nil {
-			return 0, err
-		}
-		if err := f.fs.disk.Vector(p, ops, true); err != nil {
+		if err := f.fs.diskIO(p, f.in, false, aOff, span, buf, true); err != nil {
 			return 0, err
 		}
 	}
 	copy(stg[off-aOff:], src)
-	ops, err := f.DiskOps(true, aOff, span, buf)
-	if err != nil {
-		return 0, err
-	}
-	if err := f.fs.disk.Vector(p, ops, true); err != nil {
+	if err := f.fs.diskIO(p, f.in, true, aOff, span, buf, true); err != nil {
 		return 0, err
 	}
 	return int(n), nil
@@ -324,7 +295,6 @@ func (fs *FS) writeInodeRange(p *sim.Proc, in *inode, off int64, src []byte) (in
 	if err := fs.allocRangeLocked(in, off, n); err != nil {
 		return 0, err
 	}
-	f := File{fs: fs, in: in}
 	aOff := off &^ (BlockSize - 1)
 	aEnd := (off + n + BlockSize - 1) &^ (BlockSize - 1)
 	span := aEnd - aOff
@@ -332,11 +302,7 @@ func (fs *FS) writeInodeRange(p *sim.Proc, in *inode, off int64, src []byte) (in
 	defer put()
 	stg := fs.staging.bytes(buf, span)
 	copy(stg[off-aOff:], src)
-	ops, err := f.DiskOps(true, aOff, span, buf)
-	if err != nil {
-		return 0, err
-	}
-	if err := fs.disk.Vector(p, ops, true); err != nil {
+	if err := fs.diskIO(p, in, true, aOff, span, buf, true); err != nil {
 		return 0, err
 	}
 	return int(n), nil

@@ -29,6 +29,8 @@ type FS struct {
 	mu      *sim.Lock
 	staging *stagingPool
 	rotor   uint32 // allocator scan position
+	// opVecs is the free list of disk-op vectors behind diskIO.
+	opVecs [][]block.Op
 }
 
 // Mkfs formats a disk image with ninodes inodes. It operates directly on

@@ -127,7 +127,16 @@ func (d *Device) Image() *pcie.Memory { return d.PCIeDev.Mem }
 // Split fragments commands so none exceeds the device's maximum transfer
 // size (MDTS); one file-system call on a fragmented file becomes several
 // NVMe commands, which is exactly what the IO-vector interface coalesces.
+// Empty commands are dropped. A vector with nothing to split or drop comes
+// back unchanged, without a copy.
 func Split(cmds []Command) []Command {
+	i := 0
+	for i < len(cmds) && cmds[i].Bytes > 0 && cmds[i].Bytes <= model.NVMeMaxTransfer {
+		i++
+	}
+	if i == len(cmds) {
+		return cmds
+	}
 	var out []Command
 	for _, c := range cmds {
 		for c.Bytes > model.NVMeMaxTransfer {
@@ -197,61 +206,65 @@ func (d *Device) Submit(p *sim.Proc, cmds []Command, coalesce bool) error {
 		sp.End(p)
 		return ErrMedia
 	}
-	ring := func() {
-		d.doorbells++
-		d.telDoorbells.Add(1)
-		d.fabric.CountTxn(1)
-		p.Advance(model.NVMeDoorbellCost)
-	}
-	interrupt := func() {
-		d.interrupts++
-		d.telInterrupts.Add(1)
-		p.Advance(model.NVMeInterruptCost)
-	}
-	// transfer wraps the data movement in a span so the trace shows the
-	// DMA window between doorbell and interrupt; peer-to-peer targets (a
-	// co-processor's memory) are labelled distinctly from host DMA.
-	transfer := func(body func()) {
-		name := "pcie.dma"
-		for i := range cmds {
-			if cmds[i].Target.Dev != nil {
-				name = "pcie.p2p"
-				break
-			}
-		}
-		tsp := d.tel.Start(p, name)
-		var bytes int64
-		for i := range cmds {
-			bytes += cmds[i].Bytes
-		}
-		tsp.TagInt("bytes", bytes)
-		body()
-		tsp.End(p)
-	}
 	if coalesce {
-		ring()
-		transfer(func() {
-			var latest sim.Time
-			for i := range cmds {
-				if done := d.issue(p, &cmds[i]); done > latest {
-					latest = done
-				}
+		d.ring(p)
+		tsp := d.startTransfer(p, cmds)
+		var latest sim.Time
+		for i := range cmds {
+			if done := d.issue(p, &cmds[i]); done > latest {
+				latest = done
 			}
-			p.AdvanceTo(latest)
-		})
-		interrupt()
+		}
+		p.AdvanceTo(latest)
+		tsp.End(p)
+		d.interrupt(p)
 		sp.End(p)
 		return nil
 	}
-	transfer(func() {
-		for i := range cmds {
-			ring()
-			p.AdvanceTo(d.issue(p, &cmds[i]))
-			interrupt()
-		}
-	})
+	tsp := d.startTransfer(p, cmds)
+	for i := range cmds {
+		d.ring(p)
+		p.AdvanceTo(d.issue(p, &cmds[i]))
+		d.interrupt(p)
+	}
+	tsp.End(p)
 	sp.End(p)
 	return nil
+}
+
+// ring charges one submission-queue doorbell write.
+func (d *Device) ring(p *sim.Proc) {
+	d.doorbells++
+	d.telDoorbells.Add(1)
+	d.fabric.CountTxn(1)
+	p.Advance(model.NVMeDoorbellCost)
+}
+
+// interrupt charges one completion interrupt.
+func (d *Device) interrupt(p *sim.Proc) {
+	d.interrupts++
+	d.telInterrupts.Add(1)
+	p.Advance(model.NVMeInterruptCost)
+}
+
+// startTransfer opens the span covering a vector's data movement, so the
+// trace shows the DMA window between doorbell and interrupt; peer-to-peer
+// targets (a co-processor's memory) are labelled distinctly from host DMA.
+func (d *Device) startTransfer(p *sim.Proc, cmds []Command) *telemetry.Span {
+	name := "pcie.dma"
+	for i := range cmds {
+		if cmds[i].Target.Dev != nil {
+			name = "pcie.p2p"
+			break
+		}
+	}
+	tsp := d.tel.Start(p, name)
+	var bytes int64
+	for i := range cmds {
+		bytes += cmds[i].Bytes
+	}
+	tsp.TagInt("bytes", bytes)
+	return tsp
 }
 
 // issue runs one command: reserve the flash backend and the PCIe path in

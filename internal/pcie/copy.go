@@ -75,14 +75,6 @@ func (f *Fabric) CopyInVec(p *sim.Proc, at *Device, k cpu.Kind, dst Loc, hdr, pa
 	f.charge(p, at, k, dst.Dev, n, mech, true)
 }
 
-// ChargeOut accounts the fabric cost of reading n bytes at src without
-// moving them into a local buffer — the receive half of a borrowed-view
-// dequeue, where the consumer decodes the master-memory slice in place.
-// Time-identical to CopyOut of the same size; only heap traffic differs.
-func (f *Fabric) ChargeOut(p *sim.Proc, at *Device, k cpu.Kind, src Loc, n int64, mech Mech) {
-	f.charge(p, at, k, src.Dev, n, mech, false)
-}
-
 // LocalCopy charges a same-domain memory copy on a core of kind k and
 // moves the bytes. No PCIe traffic is involved.
 func LocalCopy(p *sim.Proc, k cpu.Kind, dst, src []byte) {

@@ -278,14 +278,6 @@ func (pt *Port) getBuf(n int) []byte {
 	return make([]byte, n)
 }
 
-// mem returns the memory region holding the ring's master storage.
-func (r *Ring) mem() *pcie.Memory {
-	if r.masterDev != nil {
-		return r.masterDev.Mem
-	}
-	return r.fabric.HostRAM
-}
-
 // SetInjector installs a plan-driven fault injector. lossy additionally
 // arms send drops; set it only for rings whose callers retry end to end
 // (RPC request/response rings under deadlines), or messages vanish for
@@ -462,63 +454,18 @@ func (pt *Port) copyIn(p *sim.Proc, loc pcie.Loc, msg, payload []byte) {
 // non-retryable errors (message larger than the ring), which indicate a
 // mis-sized channel.
 func (pt *Port) Send(p *sim.Proc, msg []byte) {
-	for {
-		err := pt.TrySend(p, msg)
-		if err == nil || err == ErrClosed {
-			return
-		}
-		if err != ErrWouldBlock {
-			panic("transport: " + err.Error())
-		}
-		if pt.ring.closed {
-			return
-		}
-		p.Wait(pt.ring.spaceCond)
-	}
+	pt.SendVec(p, msg, nil)
 }
 
 // TryRecv dequeues the oldest ready element without blocking, returning
 // its payload; ErrWouldBlock if none is ready.
 func (pt *Port) TryRecv(p *sim.Proc) ([]byte, error) {
-	r := pt.ring
-	r.recvStall(p)
-	sp := r.tel.Start(p, "transport.recv")
-	cs := r.tel.Start(p, "transport.combine")
-	combineEnter(p, &r.deq)
-	if r.opt.Update == Eager {
-		pt.remoteTxn(p)
-		pt.remoteTxn(p)
+	var one [1][]byte
+	msgs, err := pt.dequeue(p, 1, one[:0], false)
+	if err != nil {
+		return nil, err
 	}
-	ent, ok := r.take()
-	if !ok && r.opt.Update == Lazy {
-		// Refresh the tail replica and retry (poll across the bus).
-		pt.remoteTxn(p)
-		ent, ok = r.take()
-	}
-	pt.combineExit(p, &r.deq, r.opt.Batch)
-	cs.End(p)
-	if !ok {
-		r.telRecvBlock.Add(1)
-		sp.Tag("result", "wouldblock")
-		sp.End(p)
-		return nil, ErrWouldBlock
-	}
-
-	r.inflightRecv++
-	buf := pt.getBuf(ent.size)
-	loc := pcie.Loc{Dev: r.masterDev, Off: r.base + ent.off}
-	r.fabric.CopyOut(p, pt.dev, pt.kind, loc, buf, r.opt.Copy)
-	r.inflightRecv--
-
-	ent.state = entDone
-	r.received++
-	r.telReceived.Add(1)
-	r.telOccupancy.Set(int64(r.Len()))
-	r.telQueue.Depart(p)
-	sp.TagInt("bytes", int64(ent.size))
-	sp.End(p)
-	p.Signal(r.spaceCond)
-	return buf, nil
+	return msgs[0], nil
 }
 
 // TryRecvBatch dequeues up to max ready elements (capped at Options.Batch;
@@ -542,12 +489,26 @@ const batchPass = 64
 // without allocating the vector. On ErrWouldBlock dst is returned
 // unchanged.
 func (pt *Port) TryRecvBatchInto(p *sim.Proc, max int, dst [][]byte) ([][]byte, error) {
+	return pt.dequeue(p, max, dst, true)
+}
+
+// dequeue is the one dequeue core behind the Recv family: it drains up to
+// max ready elements (capped at Options.Batch; max <= 0 means a full
+// batch) under one combiner pass and appends their payloads to dst. batch
+// selects the batch flavour's telemetry (span name, batch-size histogram)
+// and wakes every blocked sender instead of one; otherwise single and
+// batch receives are the same operation.
+func (pt *Port) dequeue(p *sim.Proc, max int, dst [][]byte, batch bool) ([][]byte, error) {
 	r := pt.ring
 	if max <= 0 || max > r.opt.Batch {
 		max = r.opt.Batch
 	}
 	r.recvStall(p)
-	sp := r.tel.Start(p, "transport.recv_batch")
+	name := "transport.recv"
+	if batch {
+		name = "transport.recv_batch"
+	}
+	sp := r.tel.Start(p, name)
 	cs := r.tel.Start(p, "transport.combine")
 	combineEnter(p, &r.deq)
 	if r.opt.Update == Eager {
@@ -605,13 +566,19 @@ func (pt *Port) TryRecvBatchInto(p *sim.Proc, max int, dst [][]byte) ([][]byte, 
 	n := int64(len(ents))
 	r.received += n
 	r.telReceived.Add(n)
-	r.telBatchOut.ObserveAt(p, sim.Time(n))
 	r.telOccupancy.Set(int64(r.Len()))
 	r.telQueue.DepartN(p, n)
-	sp.TagInt("count", n)
+	if batch {
+		r.telBatchOut.ObserveAt(p, sim.Time(n))
+		sp.TagInt("count", n)
+	}
 	sp.TagInt("bytes", payload)
 	sp.End(p)
-	p.Broadcast(r.spaceCond)
+	if batch {
+		p.Broadcast(r.spaceCond)
+	} else {
+		p.Signal(r.spaceCond)
+	}
 	return msgs, nil
 }
 
@@ -619,242 +586,37 @@ func (pt *Port) TryRecvBatchInto(p *sim.Proc, max int, dst [][]byte) ([][]byte, 
 // to max ready elements (see TryRecvBatch); ok is false once the ring is
 // closed and drained. Elements enqueued before Close remain receivable.
 func (pt *Port) RecvBatch(p *sim.Proc, max int) ([][]byte, bool) {
-	for {
-		msgs, err := pt.TryRecvBatch(p, max)
-		if err == nil {
-			return msgs, true
-		}
-		if pt.ring.closed {
-			return nil, false
-		}
-		p.Wait(pt.ring.dataCond)
-	}
+	return pt.RecvBatchInto(p, max, nil)
 }
 
 // RecvBatchInto is RecvBatch with a caller-owned destination slice (see
 // TryRecvBatchInto); blocks until at least one element is appended, ok is
 // false once the ring is closed and drained.
 func (pt *Port) RecvBatchInto(p *sim.Proc, max int, dst [][]byte) ([][]byte, bool) {
-	for {
-		msgs, err := pt.TryRecvBatchInto(p, max, dst)
-		if err == nil {
-			return msgs, true
-		}
-		if pt.ring.closed {
-			return dst, false
-		}
-		p.Wait(pt.ring.dataCond)
-	}
-}
-
-// SendBatch enqueues every message in msgs in order, blocking for space as
-// needed. Up to batchPass messages are reserved under ONE combiner
-// acquisition with one Lazy flush (or one Eager head/tail transaction
-// pair) and ONE receiver wakeup — k replies cost one doorbell instead of
-// k, the enqueue-side analogue of TryRecvBatch's combining amortization.
-// Messages sent to a closed ring are silently dropped, like Send; an
-// oversized message panics, like Send.
-func (pt *Port) SendBatch(p *sim.Proc, msgs [][]byte) {
-	if pt.ring.lossy {
-		// Fault-armed rings keep the per-message path so injected drop
-		// decisions land exactly as they would under Send.
-		for _, m := range msgs {
-			pt.Send(p, m)
-		}
-		return
-	}
-	for len(msgs) > 0 {
-		n := pt.trySendBatch(p, msgs)
-		msgs = msgs[n:]
-		if len(msgs) == 0 || pt.ring.closed {
-			return
-		}
-		if n == 0 {
-			p.Wait(pt.ring.spaceCond)
-		}
-	}
-}
-
-// trySendBatch enqueues a prefix of msgs under one combining pass and
-// returns how many messages it consumed (0 = ring full, caller waits).
-func (pt *Port) trySendBatch(p *sim.Proc, msgs [][]byte) int {
-	r := pt.ring
-	if r.closed {
-		return len(msgs)
-	}
-	if len(msgs) > batchPass {
-		msgs = msgs[:batchPass]
-	}
-	for _, m := range msgs {
-		if (int64(len(m))+7)&^7 > r.capBytes {
-			panic("transport: message larger than ring")
-		}
-	}
-	sp := r.tel.Start(p, "transport.send_batch")
-	cs := r.tel.Start(p, "transport.combine")
-	combineEnter(p, &r.enq)
-	if r.opt.Update == Eager {
-		// One head-read/tail-update pair covers the whole pass: the
-		// coalesced doorbell this API exists for.
-		pt.remoteTxn(p)
-		pt.remoteTxn(p)
-	}
-	var ents [batchPass]*entry
-	k := 0
-	for _, m := range msgs {
-		need := (int64(len(m)) + 7) &^ 7
-		ent, ok := r.reserve(len(m), need)
-		if !ok && k == 0 && r.opt.Update == Lazy {
-			// Ring looks full at the start of the pass: refresh the head
-			// replica once and retry, as TrySend does.
-			pt.remoteTxn(p)
-			r.reclaim()
-			ent, ok = r.reserve(len(m), need)
-		}
-		if !ok {
-			break
-		}
-		ents[k] = ent
-		k++
-	}
-	// k reservations shared one combining pass; credit the extras so Lazy
-	// keeps its flush-once-per-Batch cadence.
-	if k > 1 {
-		r.enq.opsInBatch += k - 1
-	}
-	pt.combineExit(p, &r.enq, r.opt.Batch)
-	cs.End(p)
-	if k == 0 {
-		r.telSendBlock.Add(1)
-		sp.Tag("result", "wouldblock")
-		sp.End(p)
-		return 0
-	}
-
-	// Copy payloads into master memory outside the combiner, publishing
-	// each element as its copy lands (receivers may start draining the
-	// early ones while later copies are still in flight).
-	r.inflightSend++
-	var payload int64
-	for i := 0; i < k; i++ {
-		ent, m := ents[i], msgs[i]
-		loc := pcie.Loc{Dev: r.masterDev, Off: r.base + ent.off}
-		r.fabric.CopyIn(p, pt.dev, pt.kind, loc, m, r.opt.Copy)
-		ent.copied = true
-		ent.state = entReady
-		payload += int64(len(m))
-	}
-	r.inflightSend--
-	r.sent += int64(k)
-	r.sentBytes += payload
-	r.telSent.Add(int64(k))
-	r.telSentBytes.Add(payload)
-	r.telOccupancy.Set(int64(r.Len()))
-	r.telQueue.ArriveN(p, int64(k))
-	sp.TagInt("count", int64(k))
-	sp.TagInt("bytes", payload)
-	sp.End(p)
-	p.Broadcast(r.dataCond)
-	return k
-}
-
-// View is a borrowed slice of ring master memory: a dequeued element's
-// payload read in place, with no copy-out buffer and no allocation. Data
-// stays valid until Release, which retires the element so the ring can
-// reclaim its bytes. The fabric charge is identical to TryRecv — the
-// receiver still reads every byte across the bus — only heap traffic
-// differs.
-type View struct {
-	Data []byte
-	ent  *entry
-	pt   *Port
-}
-
-// Release retires the viewed element, making its slot reclaimable and
-// waking one blocked sender. Releasing a zero View is a no-op; a double
-// Release panics.
-func (v *View) Release(p *sim.Proc) {
-	if v.ent == nil {
-		return
-	}
-	if v.ent.state != entTaken {
-		panic("transport: View released twice")
-	}
-	v.ent.state = entDone
-	p.Signal(v.pt.ring.spaceCond)
-	v.ent = nil
-	v.Data = nil
-}
-
-// TryRecvView dequeues the oldest ready element as a borrowed view of
-// master memory instead of copying it out; ErrWouldBlock if none is
-// ready. The element's bytes are not reclaimable until the view is
-// Released, so holding many views narrows the ring.
-func (pt *Port) TryRecvView(p *sim.Proc) (View, error) {
-	r := pt.ring
-	r.recvStall(p)
-	sp := r.tel.Start(p, "transport.recv")
-	cs := r.tel.Start(p, "transport.combine")
-	combineEnter(p, &r.deq)
-	if r.opt.Update == Eager {
-		pt.remoteTxn(p)
-		pt.remoteTxn(p)
-	}
-	ent, ok := r.take()
-	if !ok && r.opt.Update == Lazy {
-		pt.remoteTxn(p)
-		ent, ok = r.take()
-	}
-	pt.combineExit(p, &r.deq, r.opt.Batch)
-	cs.End(p)
-	if !ok {
-		r.telRecvBlock.Add(1)
-		sp.Tag("result", "wouldblock")
-		sp.End(p)
-		return View{}, ErrWouldBlock
-	}
-
-	// Charge reading the payload across the fabric without moving it into
-	// a local buffer; the consumer decodes the master slice in place.
-	r.inflightRecv++
-	loc := pcie.Loc{Dev: r.masterDev, Off: r.base + ent.off}
-	r.fabric.ChargeOut(p, pt.dev, pt.kind, loc, int64(ent.size), r.opt.Copy)
-	r.inflightRecv--
-
-	r.received++
-	r.telReceived.Add(1)
-	r.telOccupancy.Set(int64(r.Len()))
-	r.telQueue.Depart(p)
-	sp.TagInt("bytes", int64(ent.size))
-	sp.End(p)
-	return View{Data: r.mem().Slice(r.base+ent.off, int64(ent.size)), ent: ent, pt: pt}, nil
-}
-
-// RecvView blocks until an element is available and returns it as a
-// borrowed view; ok is false once the ring is closed and drained.
-func (pt *Port) RecvView(p *sim.Proc) (View, bool) {
-	for {
-		v, err := pt.TryRecvView(p)
-		if err == nil {
-			return v, true
-		}
-		if pt.ring.closed {
-			return View{}, false
-		}
-		p.Wait(pt.ring.dataCond)
-	}
+	return pt.recv(p, max, dst, true)
 }
 
 // Recv blocks until an element is available and returns its payload; ok is
 // false once the ring is closed and drained.
 func (pt *Port) Recv(p *sim.Proc) ([]byte, bool) {
+	var one [1][]byte
+	msgs, ok := pt.recv(p, 1, one[:0], false)
+	if !ok {
+		return nil, false
+	}
+	return msgs[0], true
+}
+
+// recv is the blocking form of dequeue: it waits for data until at least
+// one element is appended to dst, or the ring is closed and drained.
+func (pt *Port) recv(p *sim.Proc, max int, dst [][]byte, batch bool) ([][]byte, bool) {
 	for {
-		msg, err := pt.TryRecv(p)
+		msgs, err := pt.dequeue(p, max, dst, batch)
 		if err == nil {
-			return msg, true
+			return msgs, true
 		}
 		if pt.ring.closed {
-			return nil, false
+			return dst, false
 		}
 		p.Wait(pt.ring.dataCond)
 	}
